@@ -13,9 +13,10 @@ the test suite, and ``result_from_dict(result_to_dict(r))`` reproduces a
 result whose every derived statistic (CPI, breakdowns, event
 classifications) matches the original exactly.
 
-Cross-record references (``InFlight.waiters``) are serialized as trace
-indices and re-linked on load, so the reconstructed record graph has the
-same shape as the live one.
+Records are stored as columns (one list per field, in the batched
+engine's structure-of-arrays order); ``InFlight.waiters`` are stored
+sparsely as trace indices and re-linked on load.  Decoding is strict: a
+damaged payload raises ``ValueError``, never a shorter record list.
 
 Telemetry payloads (``SimulationResult.telemetry``) are optional and
 round-trip losslessly, but are deliberately **absent** from the dict when
@@ -29,6 +30,8 @@ simulators, which sample live state differently).
 
 from __future__ import annotations
 
+from dataclasses import fields
+from operator import attrgetter
 from typing import Any
 
 from repro.core.config import ClusterConfig, MachineConfig
@@ -142,104 +145,100 @@ def _cache_config_to_dict(cache: CacheConfig) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Per-instruction records
+# Per-instruction records, as columns
 # ---------------------------------------------------------------------------
 
-
-def _instr_to_dict(instr: DynamicInstruction) -> dict[str, Any]:
-    return {
-        "index": instr.index,
-        "pc": instr.pc,
-        "opcode": instr.opcode,
-        "opclass": instr.opclass.name,
-        "dest": instr.dest,
-        "srcs": list(instr.srcs),
-        "is_branch": instr.is_branch,
-        "is_conditional_branch": instr.is_conditional_branch,
-        "taken": instr.taken,
-        "next_pc": instr.next_pc,
-        "mem_addr": instr.mem_addr,
-    }
-
-
-def _instr_from_dict(data: dict[str, Any]) -> DynamicInstruction:
-    return DynamicInstruction(
-        index=data["index"],
-        pc=data["pc"],
-        opcode=data["opcode"],
-        opclass=OpClass[data["opclass"]],
-        dest=data["dest"],
-        srcs=tuple(data["srcs"]),
-        is_branch=data["is_branch"],
-        is_conditional_branch=data["is_conditional_branch"],
-        taken=data["taken"],
-        next_pc=data["next_pc"],
-        mem_addr=data["mem_addr"],
-    )
+# One column per field, in the batched engine's structure-of-arrays order:
+# the trace instruction, its dependences, then the InFlight timing and
+# provenance (``index`` is the instruction's, ``waiters`` is sparse).
+_INSTR_COLUMNS = tuple(f.name for f in fields(DynamicInstruction))
+_DEPS_COLUMNS = tuple(f.name for f in fields(Dependences))
+_RECORD_COLUMNS = tuple(
+    name for name in InFlight.__slots__ if name not in ("instr", "deps", "index", "waiters")
+)
+_COLUMNS = _INSTR_COLUMNS + _DEPS_COLUMNS + _RECORD_COLUMNS
+_INSTR_ROW = attrgetter(*_INSTR_COLUMNS)
+_DEPS_ROW = attrgetter(*_DEPS_COLUMNS)
+_RECORD_ROW = attrgetter(*_RECORD_COLUMNS)
+# Enum columns hold member names (decoded through these name -> member
+# maps); tuple columns are JSON lists.
+_ENUMS = {
+    "opclass": OpClass.__members__,
+    "dispatch_reason": DispatchReason.__members__,
+    "steer_cause": SteerCause.__members__,
+    "commit_reason": CommitReason.__members__,
+}
+_TUPLES = ("srcs", "reg_deps")
+_FIRST_DEP, _FIRST_RECORD = len(_INSTR_COLUMNS), len(_INSTR_COLUMNS) + len(_DEPS_COLUMNS)
 
 
-def record_to_dict(record: InFlight) -> dict[str, Any]:
-    """One :class:`InFlight` as JSON types; ``waiters`` become indices."""
-    return {
-        "instr": _instr_to_dict(record.instr),
-        "deps": {
-            "reg_deps": list(record.deps.reg_deps),
-            "mem_dep": record.deps.mem_dep,
-        },
-        "cluster": record.cluster,
-        "dispatch_time": record.dispatch_time,
-        "ready_time": record.ready_time,
-        "issue_time": record.issue_time,
-        "complete_time": record.complete_time,
-        "commit_time": record.commit_time,
-        "pending_deps": record.pending_deps,
-        "operand_avail": record.operand_avail,
-        "last_arriving_producer": record.last_arriving_producer,
-        "critical_operand_forwarded": record.critical_operand_forwarded,
-        "mem_latency_extra": record.mem_latency_extra,
-        "latency": record.latency,
-        "predicted_critical": record.predicted_critical,
-        "loc": record.loc,
-        "dispatch_reason": record.dispatch_reason.name,
-        "dispatch_pred": record.dispatch_pred,
-        "steer_cause": record.steer_cause.name,
-        "commit_reason": record.commit_reason.name,
-        "waiters": [w.index for w in record.waiters],
-        # JSON object keys are strings; cluster ids convert back on load.
-        "forwarded_to_clusters": {
-            str(c): t for c, t in record.forwarded_to_clusters.items()
-        },
-    }
+def _records_to_columns(records: list[InFlight]) -> dict[str, Any]:
+    """``{field: [value per record]}``, plus ``waiters`` as sparse pairs.
+
+    ``waiters`` holds ``[index, [waiter indices]]`` for non-empty lists
+    only: every backend drains them at the producer's issue, so a
+    finished run's lists are all empty.
+    """
+    rows = [_INSTR_ROW(r.instr) + _DEPS_ROW(r.deps) + _RECORD_ROW(r) for r in records]
+    transposed = zip(*rows)  # yields nothing for a record-less run
+    columns = {name: list(next(transposed, ())) for name in _COLUMNS}
+    for name in _ENUMS:
+        # ``_name_`` is the plain attribute behind the ``name`` property.
+        columns[name] = [member._name_ for member in columns[name]]
+    for name in _TUPLES:
+        columns[name] = [list(values) for values in columns[name]]
+    # Sorted [cluster, arrival] pairs: JSON object keys would be strings.
+    columns["forwarded_to_clusters"] = [
+        [[c, t] for c, t in sorted(f.items())] for f in columns["forwarded_to_clusters"]
+    ]
+    columns["waiters"] = [
+        [r.index, [w.index for w in r.waiters]] for r in records if r.waiters
+    ]
+    return columns
 
 
-def _record_from_dict(data: dict[str, Any]) -> InFlight:
-    """Rebuild one record; ``waiters`` are linked by the caller."""
-    deps = Dependences(
-        reg_deps=tuple(data["deps"]["reg_deps"]), mem_dep=data["deps"]["mem_dep"]
-    )
-    record = InFlight(_instr_from_dict(data["instr"]), deps)
-    record.cluster = data["cluster"]
-    record.dispatch_time = data["dispatch_time"]
-    record.ready_time = data["ready_time"]
-    record.issue_time = data["issue_time"]
-    record.complete_time = data["complete_time"]
-    record.commit_time = data["commit_time"]
-    record.pending_deps = data["pending_deps"]
-    record.operand_avail = data["operand_avail"]
-    record.last_arriving_producer = data["last_arriving_producer"]
-    record.critical_operand_forwarded = data["critical_operand_forwarded"]
-    record.mem_latency_extra = data["mem_latency_extra"]
-    record.latency = data["latency"]
-    record.predicted_critical = data["predicted_critical"]
-    record.loc = data["loc"]
-    record.dispatch_reason = DispatchReason[data["dispatch_reason"]]
-    record.dispatch_pred = data["dispatch_pred"]
-    record.steer_cause = SteerCause[data["steer_cause"]]
-    record.commit_reason = CommitReason[data["commit_reason"]]
-    record.forwarded_to_clusters = {
-        int(c): t for c, t in data["forwarded_to_clusters"].items()
-    }
-    return record
+def _records_from_columns(columns: dict[str, Any]) -> list[InFlight]:
+    """Inverse of :func:`_records_to_columns`: one ``zip`` over the columns.
+
+    A ragged column raises ``ValueError`` (``zip`` alone would truncate),
+    as do trace indices other than ``0..n-1`` and out-of-range waiters.
+    """
+    total = len(columns["index"])
+    ragged = [name for name in _COLUMNS if len(columns[name]) != total]
+    if ragged:
+        raise ValueError(f"record columns {ragged} are not {total} long")
+    if columns["index"] != list(range(total)):
+        raise ValueError("record trace indices are not 0..n-1 in order")
+    decoded = dict(columns)
+    for name, members in _ENUMS.items():
+        decoded[name] = [members[n] for n in columns[name]]
+    for name in _TUPLES:
+        decoded[name] = [tuple(values) for values in columns[name]]
+    decoded["forwarded_to_clusters"] = [dict(f) for f in columns["forwarded_to_clusters"]]
+
+    records: list[InFlight] = []
+    new = InFlight.__new__
+    for row in zip(*(decoded[name] for name in _COLUMNS)):
+        rec = new(InFlight)
+        rec.instr = DynamicInstruction(*row[:_FIRST_DEP])
+        rec.deps = Dependences(*row[_FIRST_DEP:_FIRST_RECORD])
+        rec.index = row[0]
+        rec.waiters = []
+        # Explicit targets in _RECORD_COLUMNS (InFlight.__slots__) order:
+        # ~3x faster than a setattr loop; the round-trip tests pin it.
+        (rec.cluster, rec.dispatch_time, rec.ready_time, rec.issue_time,
+         rec.complete_time, rec.commit_time, rec.pending_deps, rec.operand_avail,
+         rec.last_arriving_producer, rec.critical_operand_forwarded,
+         rec.mem_latency_extra, rec.latency, rec.predicted_critical, rec.loc,
+         rec.dispatch_reason, rec.dispatch_pred, rec.steer_cause,
+         rec.commit_reason, rec.forwarded_to_clusters) = row[_FIRST_RECORD:]
+        records.append(rec)
+    # Trace indices are list positions, so waiters re-link by index.
+    for index, waiters in columns["waiters"]:
+        if not all(0 <= i < total for i in (index, *waiters)):
+            raise ValueError(f"waiter edge out of range: {index} -> {waiters}")
+        records[index].waiters = [records[i] for i in waiters]
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
     ilp = result.ilp_profile
     data = {
         "config": config_to_dict(result.config),
-        "records": [record_to_dict(r) for r in result.records],
+        "records": _records_to_columns(result.records),
         "cycles": result.cycles,
         "mispredicted": sorted(result.mispredicted),
         "global_values": result.global_values,
@@ -279,39 +278,38 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
 
 
 def result_from_dict(data: dict[str, Any]) -> SimulationResult:
-    """Inverse of :func:`result_to_dict`, re-linking consumer references."""
-    records = [_record_from_dict(r) for r in data["records"]]
-    by_index = {record.index: record for record in records}
-    for record, raw in zip(records, data["records"]):
-        record.waiters = [by_index[i] for i in raw["waiters"]]
-    ilp = None
-    if data["ilp_profile"] is not None:
-        ilp = IlpProfile(
-            issued_sum={
-                int(k): v for k, v in data["ilp_profile"]["issued_sum"].items()
-            },
-            cycle_count={
-                int(k): v for k, v in data["ilp_profile"]["cycle_count"].items()
-            },
-        )
-    telemetry = None
-    if data.get("telemetry") is not None:
-        from repro.telemetry.recorder import telemetry_from_dict
+    """Inverse of :func:`result_to_dict`, re-linking consumer references.
 
-        telemetry = telemetry_from_dict(data["telemetry"])
-    return SimulationResult(
-        config=config_from_dict(data["config"]),
-        records=records,
-        cycles=data["cycles"],
-        mispredicted=frozenset(data["mispredicted"]),
-        global_values=data["global_values"],
-        l1_hits=data["l1_hits"],
-        l1_misses=data["l1_misses"],
-        ilp_profile=ilp,
-        steering_name=data["steering_name"],
-        scheduler_name=data["scheduler_name"],
-        telemetry=telemetry,
-    )
+    Strict: a missing key, a ragged column, an unknown enum name or an
+    out-of-range waiter raises ``ValueError``, never a shorter result.
+    """
+    try:
+        ilp = data["ilp_profile"]
+        telemetry = data.get("telemetry")
+        if telemetry is not None:
+            from repro.telemetry.recorder import telemetry_from_dict
+
+            telemetry = telemetry_from_dict(telemetry)
+        return SimulationResult(
+            config=config_from_dict(data["config"]),
+            records=_records_from_columns(data["records"]),
+            cycles=data["cycles"],
+            mispredicted=frozenset(data["mispredicted"]),
+            global_values=data["global_values"],
+            l1_hits=data["l1_hits"],
+            l1_misses=data["l1_misses"],
+            ilp_profile=None
+            if ilp is None
+            else IlpProfile(
+                issued_sum={int(k): v for k, v in ilp["issued_sum"].items()},
+                cycle_count={int(k): v for k, v in ilp["cycle_count"].items()},
+            ),
+            steering_name=data["steering_name"],
+            scheduler_name=data["scheduler_name"],
+            telemetry=telemetry,
+        )
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed result payload: {exc!r}") from exc
 
 
 def results_identical(a: SimulationResult, b: SimulationResult) -> bool:

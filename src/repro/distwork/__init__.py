@@ -30,6 +30,7 @@ from repro.distwork.coordinator import DirCoordinator, TaskBoard, TcpCoordinator
 from repro.distwork.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    VersionMismatch,
     parse_endpoint,
 )
 from repro.distwork.worker import run_worker
@@ -40,6 +41,7 @@ __all__ = [
     "ProtocolError",
     "TaskBoard",
     "TcpCoordinator",
+    "VersionMismatch",
     "parse_endpoint",
     "run_worker",
 ]

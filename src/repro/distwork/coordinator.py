@@ -46,6 +46,8 @@ from typing import Any
 from repro.distwork.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    VersionMismatch,
+    check_version,
     recv_frame,
     send_frame,
 )
@@ -194,6 +196,11 @@ class _TcpHandler(socketserver.BaseRequestHandler):
                 op = message.get("op")
                 worker = str(message.get("worker", worker))
                 if op == "hello":
+                    try:
+                        check_version(message)
+                    except VersionMismatch as exc:
+                        send_frame(self.request, {"op": "refused", "error": str(exc)})
+                        raise
                     send_frame(
                         self.request,
                         {

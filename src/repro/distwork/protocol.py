@@ -15,8 +15,9 @@ Messages (coordinator <-> worker)
 ---------------------------------
 Worker-initiated, one request/response pair per frame exchange::
 
-    {"op": "hello", "worker": id, "version": 1}
-        -> {"op": "welcome", "version": 1, "heartbeat": seconds}
+    {"op": "hello", "worker": id, "version": 2}
+        -> {"op": "welcome", "version": 2, "heartbeat": seconds}
+         | {"op": "refused", "error": text}    # version mismatch; closes
     {"op": "next", "worker": id}
         -> {"op": "task", "id": tid, "job": {...}, "policy": {...},
             "attempt": n}                      # lease granted
@@ -28,6 +29,12 @@ Worker-initiated, one request/response pair per frame exchange::
                                                # settled: abandon the run
     {"op": "done", "worker": id, "id": tid, "outcome": {...}}
         -> {"op": "ok"}
+
+Both sides check ``version`` against :data:`PROTOCOL_VERSION` and raise
+:class:`VersionMismatch` on a difference: the coordinator answers
+``refused`` and drops the connection, the worker stops rather than
+reconnecting to a peer it cannot talk to.  Version 2 carries results in
+the columnar record layout of :mod:`repro.core.serialize`.
 
 ``attempt`` is the number of attempts already charged to the task by
 earlier (dead) leases; the worker's in-process retry loop continues
@@ -66,6 +73,8 @@ __all__ = [
     "MAX_FRAME",
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "VersionMismatch",
+    "check_version",
     "job_from_dict",
     "job_to_dict",
     "outcome_from_dict",
@@ -77,7 +86,7 @@ __all__ = [
     "send_frame",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct(">I")
 
@@ -88,6 +97,20 @@ MAX_FRAME = 1 << 29
 
 class ProtocolError(RuntimeError):
     """The peer sent something the wire format forbids."""
+
+
+class VersionMismatch(ProtocolError):
+    """The peer speaks a different :data:`PROTOCOL_VERSION`."""
+
+
+def check_version(message: dict[str, Any]) -> None:
+    """Raise :class:`VersionMismatch` unless a hello/welcome matches ours."""
+    version = message.get("version")
+    if version != PROTOCOL_VERSION:
+        raise VersionMismatch(
+            f"peer {message.get('op')!r} speaks protocol version {version!r}, "
+            f"this side speaks {PROTOCOL_VERSION}"
+        )
 
 
 # ---------------------------------------------------------------------------

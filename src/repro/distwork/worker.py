@@ -48,6 +48,7 @@ import json
 import os
 import pathlib
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -57,6 +58,8 @@ from typing import Any, Callable
 from repro.distwork.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    VersionMismatch,
+    check_version,
     job_from_dict,
     outcome_to_dict,
     parse_endpoint,
@@ -210,7 +213,9 @@ def run_worker(
     Exits when the coordinator says stop, when ``idle_timeout`` seconds
     pass with nothing to do, when ``stop_event`` is set (in-process
     embedding, used by tests), or -- tcp only -- when the coordinator
-    stays unreachable for ``reconnect_window`` seconds.
+    stays unreachable for ``reconnect_window`` seconds.  Raises
+    :class:`~repro.distwork.protocol.VersionMismatch` if a tcp
+    coordinator speaks another protocol version.
     """
     if worker_id is None:
         worker_id = f"{socket.gethostname()}-{os.getpid()}"
@@ -248,9 +253,16 @@ class _Connection:
         self.sock = socket.create_connection(address, timeout=30.0)
         self.lock = threading.Lock()
         self.worker_id = worker_id
-        reply = self.exchange({"op": "hello", "version": PROTOCOL_VERSION})
-        if reply.get("op") != "welcome":
-            raise ProtocolError(f"expected welcome, got {reply.get('op')!r}")
+        try:
+            reply = self.exchange({"op": "hello", "version": PROTOCOL_VERSION})
+            if reply.get("op") == "refused":
+                raise VersionMismatch(f"coordinator refused: {reply.get('error')}")
+            if reply.get("op") != "welcome":
+                raise ProtocolError(f"expected welcome, got {reply.get('op')!r}")
+            check_version(reply)
+        except BaseException:
+            self.close()
+            raise
         self.heartbeat_interval = float(reply.get("heartbeat", 5.0))
 
     def exchange(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -289,6 +301,8 @@ def _run_tcp_worker(
             if conn is None:
                 try:
                     conn = _Connection(address, worker_id)
+                except VersionMismatch:
+                    raise  # reconnecting cannot help
                 except (OSError, ProtocolError):
                     now = time.monotonic()
                     if unreachable_since is None:
@@ -562,7 +576,6 @@ def run_supervisor(
 def _spawn_worker_process(argv: list[str]):
     """Start one ``repro worker`` child with this interpreter."""
     import subprocess
-    import sys
 
     return subprocess.Popen([sys.executable, "-m", "repro", "worker", *argv])
 
@@ -674,13 +687,17 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.supervise:
         return _supervise_main(args)
     cache = None if args.no_cache else RunCache(args.cache_dir)
-    executed = run_worker(
-        args.endpoint,
-        cache=cache,
-        worker_id=args.id,
-        poll=args.poll,
-        idle_timeout=args.idle_timeout,
-        reconnect_window=args.reconnect_window,
-    )
+    try:
+        executed = run_worker(
+            args.endpoint,
+            cache=cache,
+            worker_id=args.id,
+            poll=args.poll,
+            idle_timeout=args.idle_timeout,
+            reconnect_window=args.reconnect_window,
+        )
+    except VersionMismatch as exc:
+        print(f"worker: {exc}", file=sys.stderr)
+        return 2
     print(f"worker done: {executed} job(s) executed")
     return 0

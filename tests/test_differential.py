@@ -49,6 +49,7 @@ from repro.core.config import (
     monolithic_machine,
     slow_divider_machine,
 )
+from repro.core.instruction import InFlight
 from repro.core.reference import ReferenceSimulator
 from repro.core.simulator import ClusteredSimulator
 from repro.core.serialize import (
@@ -197,15 +198,27 @@ def run_batched_matched(
     )
 
 
+def record_to_dict(record: InFlight) -> dict:
+    """One live record's fields, waiters as indices (divergence reports)."""
+    fields = {name: getattr(record, name) for name in InFlight.__slots__}
+    fields["waiters"] = [w.index for w in record.waiters]
+    return fields
+
+
 def assert_bit_identical(event, reference, context: str):
     __tracebackhide__ = True
     if not results_identical(event, reference):
-        want = result_to_dict(reference)
-        got = result_to_dict(event)
-        for i, (w, g) in enumerate(zip(want["records"], got["records"])):
+        for i, (want_rec, got_rec) in enumerate(zip(reference.records, event.records)):
+            w, g = record_to_dict(want_rec), record_to_dict(got_rec)
             if w != g:
                 diff = {k: (w[k], g[k]) for k in w if w[k] != g[k]}
                 pytest.fail(f"{context}: first divergent record {i}: {diff}")
+        if len(event.records) != len(reference.records):
+            pytest.fail(
+                f"{context}: {len(event.records)} records, want {len(reference.records)}"
+            )
+        want = result_to_dict(reference)
+        got = result_to_dict(event)
         top = {
             k: (want[k], got[k])
             for k in want

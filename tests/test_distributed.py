@@ -31,7 +31,9 @@ from hypothesis import strategies as st
 from repro.core.serialize import results_identical
 from repro.distwork.coordinator import DirCoordinator, TaskBoard, TcpCoordinator
 from repro.distwork.protocol import (
+    PROTOCOL_VERSION,
     ProtocolError,
+    VersionMismatch,
     job_from_dict,
     job_to_dict,
     outcome_to_dict,
@@ -166,6 +168,71 @@ class TestProtocol:
                 recv_frame(b)
         finally:
             b.close()
+
+
+class TestProtocolVersion:
+    """A peer on another PROTOCOL_VERSION is refused at the TCP handshake."""
+
+    def test_coordinator_refuses_other_version(self):
+        coordinator = TcpCoordinator("127.0.0.1", 0)
+        try:
+            sock = socket.create_connection(coordinator.address, timeout=10.0)
+            try:
+                stale = PROTOCOL_VERSION - 1
+                send_frame(sock, {"op": "hello", "worker": "w1", "version": stale})
+                reply = recv_frame(sock)
+                assert reply["op"] == "refused"
+                assert f"version {stale}" in reply["error"]
+                assert recv_frame(sock) is None  # connection dropped
+            finally:
+                sock.close()
+        finally:
+            coordinator.close()
+
+    def test_stale_worker_is_refused_and_stops(self, monkeypatch):
+        """The whole handshake: an old worker against a current coordinator."""
+        from repro.distwork import worker as worker_module
+
+        monkeypatch.setattr(worker_module, "PROTOCOL_VERSION", PROTOCOL_VERSION - 1)
+        coordinator = TcpCoordinator("127.0.0.1", 0)
+        host, port = coordinator.address
+        try:
+            with pytest.raises(VersionMismatch, match="coordinator refused"):
+                run_worker(f"{host}:{port}", reconnect_window=30.0, poll=0.01)
+            # ``repro worker`` reports it and exits 2 instead of retrying.
+            assert worker_module.main([f"{host}:{port}", "--no-cache"]) == 2
+        finally:
+            coordinator.close()
+
+    def test_worker_stops_on_other_version(self):
+        """A welcome on another version raises at once, no reconnect loop."""
+        server = socket.create_server(("127.0.0.1", 0))
+        hellos = []
+
+        def serve() -> None:
+            while True:
+                try:
+                    conn, _ = server.accept()
+                except OSError:
+                    return
+                with conn:
+                    hellos.append(recv_frame(conn))
+                    version = PROTOCOL_VERSION + 1
+                    send_frame(conn, {"op": "welcome", "version": version})
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        host, port = server.getsockname()
+        start = time.monotonic()
+        try:
+            with pytest.raises(VersionMismatch, match="protocol version"):
+                run_worker(f"{host}:{port}", reconnect_window=30.0, poll=0.01)
+        finally:
+            server.close()
+        assert time.monotonic() - start < 10.0
+        assert len(hellos) == 1
+        assert hellos[0]["version"] == PROTOCOL_VERSION
+        assert issubclass(VersionMismatch, ProtocolError)
 
 
 class TestTaskBoard:
@@ -376,7 +443,9 @@ class TestLostLease:
             )
             sock = socket.create_connection(coordinator.address, timeout=10.0)
             try:
-                send_frame(sock, {"op": "hello", "worker": "w1", "version": 1})
+                send_frame(
+                    sock, {"op": "hello", "worker": "w1", "version": PROTOCOL_VERSION}
+                )
                 assert recv_frame(sock)["op"] == "welcome"
                 send_frame(sock, {"op": "next", "worker": "w1"})
                 assert recv_frame(sock)["op"] == "task"

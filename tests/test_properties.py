@@ -16,7 +16,7 @@ from repro.criticality.critical_path import analyze_critical_path
 from repro.criticality.graph import validate_timing
 from repro.criticality.slack import compute_global_slack
 from repro.experiments.cache import job_key
-from repro.experiments.parallel import RunJob
+from repro.experiments.parallel import RunJob, execute_job
 from repro.util.counters import SaturatingCounter, StratifiedFrequencyCounter
 from repro.vm.isa import OpClass
 from repro.vm.trace import DynamicInstruction
@@ -232,3 +232,44 @@ def test_monolithic_is_never_far_slower_than_clustered(trace, fwd):
         clustered_machine(4, forwarding_latency=fwd), max_cycles=100_000
     ).run(trace, mispredicted=frozenset())
     assert mono.cycles <= 2 * split.cycles + 10
+
+
+@given(
+    sim=st.sampled_from(["event", "batched", "reference"]),
+    kernel=st.sampled_from(["gcc", "mcf", "vpr"]),
+    instructions=st.integers(min_value=50, max_value=400),
+    seed=st.integers(min_value=0, max_value=3),
+    clusters=st.sampled_from([1, 2, 4]),
+    policy=st.sampled_from(["dependence", "focused", "l"]),
+)
+@settings(max_examples=15, deadline=None)
+def test_columnar_codec_round_trips_every_backend(
+    sim, kernel, instructions, seed, clusters, policy
+):
+    import json
+
+    job = RunJob(
+        kernel=kernel,
+        instructions=instructions,
+        seed=seed,
+        loc_mode="probabilistic",
+        config=clustered_machine(clusters),
+        policy=policy,
+        collect_ilp=True,
+        sim=sim,
+        # The batched backend attaches no telemetry; the other two do.
+        metrics=sim != "batched",
+    )
+    result = execute_job(job)
+    payload = result_to_dict(result)
+    wire = json.loads(json.dumps(payload))
+    revived = result_from_dict(wire)
+    # The encoded form is JSON-native, so it survives a JSON trip unchanged.
+    assert payload == wire
+    assert result_to_dict(revived) == payload
+    assert (revived.telemetry is None) == (sim == "batched")
+    assert revived.ilp_profile == result.ilp_profile
+    assert (
+        analyze_critical_path(revived.records).breakdown
+        == analyze_critical_path(result.records).breakdown
+    )
