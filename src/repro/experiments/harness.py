@@ -35,7 +35,6 @@ Policy names (matching Figure 14's bar labels):
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Sequence
 
 from repro.core.config import MachineConfig, clustered_machine, monolithic_machine
@@ -53,21 +52,18 @@ from repro.experiments.parallel import (
     PreparedWorkload,
     RunJob,
     dedupe_jobs,
-    default_workers,
     prepare_workload,
     run_job_outcome,
 )
-from repro.specs.policy import PolicySpec, canonical_policy, policy_names, resolve_policy
+from repro.specs.policy import PolicySpec, canonical_policy, policy_names
 from repro.workloads.common import KernelSpec
 from repro.workloads.suite import SUITE
 
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
     "POLICY_NAMES",
-    "ParallelWorkbench",
     "PreparedWorkload",
     "Workbench",
-    "build_policy",
 ]
 
 # Derived from the preset registry (repro.specs.policy.PRESETS); kept as a
@@ -75,25 +71,6 @@ __all__ = [
 POLICY_NAMES = policy_names()
 
 DEFAULT_INSTRUCTIONS = 12_000
-
-
-def build_policy(name: str):
-    """Construct fresh (steering, scheduler, needs_predictors) for ``name``.
-
-    .. deprecated::
-        The policy stacks are spec presets now; use
-        ``repro.specs.resolve_policy(name).build()`` (or better, pass the
-        name / a :class:`~repro.specs.PolicySpec` straight to the
-        workbench and job layer).  This shim builds the exact same
-        objects from the preset table.
-    """
-    warnings.warn(
-        "build_policy() is deprecated; use repro.specs.resolve_policy(name)"
-        ".build() or pass the policy name/spec directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_policy(name).build()
 
 
 class Workbench:
@@ -112,12 +89,11 @@ class Workbench:
     around trace prep, warm-up, measurement and cache traffic.
 
     Backend selection: ``sim`` picks the timing loop ("event",
-    "reference", or "batched"); with the default ``batch="auto"``,
-    event-mode jobs whose policy the batched backend supports are
-    promoted to ``sim="batched"`` at :meth:`job` construction, and
-    :meth:`prefetch` runs same-trace groups of them through one shared
+    "reference", or "batched").  Event-mode jobs whose policy and
+    machine the batched backend supports are promoted to
+    ``sim="batched"`` at :meth:`job` construction, and :meth:`prefetch`
+    runs same-trace groups of them through one shared
     decode/precompute/warm-up pass (:mod:`repro.experiments.batch`).
-    ``batch="off"`` restores the pure per-job event path.
 
     Execution backend: ``executor`` names the
     :class:`~repro.experiments.executor.Executor` :meth:`prefetch` fans
@@ -137,7 +113,6 @@ class Workbench:
         workers: int = 0,
         cache: RunCache | None = None,
         sim: str = "event",
-        batch: str = "auto",
         metrics: bool = False,
         tracer=None,
         execution: ExecutionPolicy | None = None,
@@ -150,8 +125,6 @@ class Workbench:
             raise ValueError(
                 f"unknown simulator {sim!r}; want 'event', 'reference' or 'batched'"
             )
-        if batch not in ("auto", "off"):
-            raise ValueError(f"unknown batch mode {batch!r}; want 'auto' or 'off'")
         if isinstance(executor, str) and executor not in executor_names():
             raise ValueError(
                 f"unknown executor {executor!r}; "
@@ -164,7 +137,6 @@ class Workbench:
         self.workers = workers
         self.cache = cache
         self.sim = sim
-        self.batch = batch
         self.metrics = metrics
         self.tracer = tracer
         self.execution = execution if execution is not None else ExecutionPolicy()
@@ -210,14 +182,13 @@ class Workbench:
         collapses to the preset's name) so equal stacks produce equal --
         and therefore memory-cache-sharing -- jobs.
 
-        With ``batch="auto"`` (the default), an ``"event"`` job whose
-        policy the batched backend supports is promoted to
-        ``sim="batched"`` here, at construction -- so a figure's plan,
-        its serial :meth:`run` calls and its parallel :meth:`prefetch`
-        all agree on one job identity (and one cache key) regardless of
-        how the job eventually executes.  ``batch="off"`` (the CLI's
-        ``--no-batch``), ``metrics=True`` and unsupported policies keep
-        the event path.
+        An ``"event"`` job whose policy the batched backend supports is
+        promoted to ``sim="batched"`` here, at construction -- so a
+        figure's plan, its serial :meth:`run` calls and its parallel
+        :meth:`prefetch` all agree on one job identity (and one cache
+        key) regardless of how the job eventually executes.
+        ``metrics=True``, unsupported policies and unbatchable machines
+        keep the event path (see :meth:`sim_for`).
         """
         policy = canonical_policy(policy)
         return RunJob(
@@ -238,8 +209,7 @@ class Workbench:
     ) -> str:
         """The backend a job running ``policy`` on this workbench uses.
 
-        This is the single place the ``batch="auto"`` promotion decision
-        lives: :meth:`job` and spec-built plans
+        This is the single place the batched-promotion decision lives: :meth:`job` and spec-built plans
         (:meth:`repro.specs.ExperimentSpec.jobs`) both route through it,
         so every way of constructing "the same run" lands on one job
         identity -- and therefore one cache key.  Pass a *canonical*
@@ -250,7 +220,6 @@ class Workbench:
         """
         if (
             self.sim == "event"
-            and self.batch == "auto"
             and not self.metrics
             and fast_policy(policy) is not None
             and (config is None or batchable_config(config))
@@ -476,12 +445,3 @@ class Workbench:
     def clustered(self, num_clusters: int, forwarding_latency: int = 2) -> MachineConfig:
         """Convenience passthrough."""
         return clustered_machine(num_clusters, forwarding_latency=forwarding_latency)
-
-
-class ParallelWorkbench(Workbench):
-    """A :class:`Workbench` that defaults to one worker per CPU core."""
-
-    def __init__(self, *args, workers: int | None = None, **kwargs):
-        if workers is None:
-            workers = default_workers()
-        super().__init__(*args, workers=workers, **kwargs)

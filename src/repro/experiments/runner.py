@@ -175,14 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cross-checking the optimized hot path",
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable the batched sweep backend: run every simulation "
-        "through the per-job event path instead of sharing one trace "
-        "decode + predictor-training pass per kernel (the batched "
-        "backend is the default for supported policy stacks)",
-    )
-    parser.add_argument(
         "--metrics",
         action="store_true",
         help="collect per-run pipeline telemetry and write a validated "
@@ -292,7 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     cache = None if args.no_cache else RunCache(args.cache_dir, tracer=tracer)
-    batch_mode = "off" if args.no_batch else "auto"
     bench = Workbench(
         instructions=args.instructions,
         seed=args.seed,
@@ -300,7 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         cache=cache,
         sim="reference" if args.reference_sim else "event",
-        batch=batch_mode,
         metrics=args.metrics,
         tracer=tracer,
         execution=execution,
@@ -314,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _run_tasks(
             args, tasks, bench, cache, tracer, benchmarks, execution,
-            batch_mode, json_stream, status_stream, streamed, report_dir,
+            json_stream, status_stream, streamed, report_dir,
         )
     finally:
         # Stops distributed workers cleanly; a no-op for the local pool.
@@ -329,7 +319,6 @@ def _run_tasks(
     tracer,
     benchmarks,
     execution,
-    batch_mode,
     json_stream,
     status_stream,
     streamed,
@@ -358,7 +347,6 @@ def _run_tasks(
                 benchmarks=benchmarks,
                 workers=args.workers,
                 cache=cache,
-                batch=batch_mode,
                 execution=execution,
             )
             # The per-seed workbenches are internal to run_seeded; with a

@@ -133,11 +133,6 @@ class MachineSpec:
 
     # ------------------------------------------------------------------
     @property
-    def is_heterogeneous(self) -> bool:
-        """Whether this spec spells an explicit per-cluster list."""
-        return not isinstance(self.clusters, int)
-
-    @property
     def label(self) -> str:
         """Paper-style name, e.g. ``4x2w``; ``4w+2w+2w`` for hetero lists."""
         if isinstance(self.clusters, int):

@@ -27,7 +27,6 @@ from repro.vm.trace import DynamicInstruction
 # (initial memory word -> value, initial register id -> value)
 SetupFn = Callable[[random.Random], tuple[dict[int, float], dict[int, float]]]
 
-DEFAULT_INSTRUCTIONS = 24_000
 DEFAULT_MEMORY_WORDS = 1 << 17
 
 
@@ -46,9 +45,7 @@ class KernelSpec:
         """Assemble the kernel."""
         return assemble(self.source)
 
-    def generate(
-        self, max_instructions: int = DEFAULT_INSTRUCTIONS, seed: int = 0
-    ) -> list[DynamicInstruction]:
+    def generate(self, max_instructions: int, seed: int = 0) -> list[DynamicInstruction]:
         """Execute the kernel and return its dynamic trace."""
         rng = seeded_rng("workload", self.name, seed)
         memory, regs = self.setup(rng)

@@ -1,5 +1,7 @@
 """Unit tests for machine configurations (Table 1 and its splits)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -85,13 +87,52 @@ class TestClusterConfig:
     def test_rob_must_cover_windows(self):
         with pytest.raises(ValueError):
             MachineConfig(
-                num_clusters=1,
-                cluster=ClusterConfig(
-                    issue_width=8,
-                    int_ports=8,
-                    fp_ports=4,
-                    mem_ports=4,
-                    window_size=512,
+                clusters=(
+                    ClusterConfig(
+                        issue_width=8,
+                        int_ports=8,
+                        fp_ports=4,
+                        mem_ports=4,
+                        window_size=512,
+                    ),
                 ),
                 rob_size=256,
             )
+
+
+class TestMachineConfigConstruction:
+    """``clusters=`` is the one spelling; the pre-2.0 ones are gone."""
+
+    CLUSTER = clustered_machine(4).cluster
+
+    def test_legacy_num_clusters_and_cluster_keywords_rejected(self):
+        with pytest.raises(TypeError):
+            MachineConfig(num_clusters=4, cluster=self.CLUSTER)
+
+    def test_positional_cluster_count_rejected(self):
+        with pytest.raises(TypeError):
+            MachineConfig(4)
+
+    def test_replace_with_cluster_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            dataclasses.replace(clustered_machine(4), cluster=self.CLUSTER)
+
+    def test_list_clusters_coerced_to_tuple(self):
+        config = MachineConfig(clusters=[self.CLUSTER] * 4)
+        assert isinstance(config.clusters, tuple)
+        assert config == clustered_machine(4)
+        assert hash(config) == hash(clustered_machine(4))
+
+    def test_non_cluster_entries_rejected(self):
+        with pytest.raises(TypeError):
+            MachineConfig(clusters=(self.CLUSTER, "2w"))
+
+    def test_replace_revalidates(self):
+        config = clustered_machine(4)
+        with pytest.raises(ValueError, match="ROB"):
+            dataclasses.replace(config, rob_size=64)
+        with pytest.raises(ValueError, match="cluster"):
+            dataclasses.replace(config, clusters=[])
+        wider = dataclasses.replace(config, clusters=[self.CLUSTER] * 2)
+        assert isinstance(wider.clusters, tuple)
+        assert wider.name == "2x2w"

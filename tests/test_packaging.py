@@ -1,4 +1,5 @@
-"""Repository and distribution hygiene: bytecode caches never ship.
+"""Repository and distribution hygiene: bytecode caches never ship, and
+the version has one source.
 
 The latent failure mode: a ``__pycache__`` directory created by an
 editable install or an interrupted test run gets committed (or swept
@@ -7,7 +8,8 @@ interpreter-specific bytecode.  These tests pin the guards -- the
 tracked tree is cache-free, ``.gitignore`` keeps it that way, and
 ``MANIFEST.in`` excludes caches from sdists.  CI's ``package`` job does
 the expensive end-to-end check (build sdist + wheel, assert neither
-archive contains a cache entry); see ``.github/workflows/ci.yml``.
+archive contains a cache entry and both filenames carry
+``repro.__version__``); see ``.github/workflows/ci.yml``.
 """
 
 from __future__ import annotations
@@ -79,3 +81,14 @@ def test_source_tree_pycache_is_untracked_even_if_present():
         if "__pycache__" in line and not line.startswith("!!")
     ]
     assert unignored == []
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version from the package, so the built
+    # distribution and ``repro.__version__`` cannot drift apart.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    dynamic = project["tool"]["setuptools"]["dynamic"]["version"]
+    assert dynamic == {"attr": "repro.__version__"}

@@ -17,9 +17,9 @@ import threading
 
 import pytest
 
-from repro.core.config import clustered_machine
+from repro.core.config import clustered_machine, fp_less_thin_machine
 from repro.core.serialize import result_from_dict, result_to_dict, results_identical
-from repro.experiments.cache import CACHE_SCHEMA_VERSION, RunCache
+from repro.experiments.cache import CACHE_SCHEMA_VERSION, RunCache, job_key
 from repro.experiments.fig14 import run_figure14
 from repro.experiments.harness import Workbench
 from repro.experiments.parallel import RunJob, execute_job
@@ -196,3 +196,31 @@ class TestStore:
         assert not [p for p in tmp_path.rglob("*") if ".tmp-" in p.name]
         loaded = RunCache(tmp_path).load(job)
         assert loaded is not None and results_identical(loaded, run)
+
+
+class TestPinnedKeys:
+    """Literal cache keys: a refactor that moves a key fails here, loudly.
+
+    Every cached entry is addressed by ``job_key``, so a changed digest
+    silently orphans every existing cache.  The jobs go through
+    ``Workbench.job`` so the backend choice is pinned along with the
+    payload.  Bump these only together with ``CACHE_SCHEMA_VERSION``.
+    """
+
+    def test_uniform_job_key(self):
+        job = Workbench(instructions=1000, seed=3).job(
+            get_kernel("gcc"), clustered_machine(4), "l"
+        )
+        assert job.sim == "batched"
+        assert job_key(job) == (
+            "bb6f8244f97c916c6a3cfae7b12b3286c4755215ae920af797cdd3b2e109f712"
+        )
+
+    def test_heterogeneous_job_key(self):
+        job = Workbench(instructions=1000, seed=3).job(
+            get_kernel("mcf"), fp_less_thin_machine(), "affinity"
+        )
+        assert job.sim == "event"
+        assert job_key(job) == (
+            "509c0b08923a69c517496ab419c7efdce7432f805df6e0653890b36017d9b3c8"
+        )

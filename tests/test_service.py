@@ -951,8 +951,20 @@ class TestDrain:
 
         cache_dir = tmp_path / "cache"
         spec = make_spec(name="drained", kernels=("gzip", "mcf"))
+        hang_started = threading.Event()
+
+        class SignallingChaos(chaos.ChaosConfig):
+            # Status "running" is published before the executor thread
+            # starts, and the serial loop polls should_stop before its
+            # first job; a drain must land once gzip is really in flight.
+            def action_for(self, job, attempt):
+                action = super().action_for(job, attempt)
+                if action == "hang":
+                    hang_started.set()
+                return action
+
         chaos.install(
-            chaos.ChaosConfig(
+            SignallingChaos(
                 rules=(chaos.FaultRule(mode="hang", match={"kernel": "gzip"}),),
                 hang_seconds=1.5,
             )
@@ -961,12 +973,8 @@ class TestDrain:
             with BackgroundServer(workers=0, cache_dir=cache_dir) as server:
                 client = Client(server.url)
                 sub = client.submit(spec)
+                assert hang_started.wait(10), "gzip's hang attempt never began"
                 deadline = _time.monotonic() + 10
-                while (
-                    client.status(sub["id"])["status"] == "queued"
-                    and _time.monotonic() < deadline
-                ):
-                    _time.sleep(0.02)
                 server.request_drain()
                 while (
                     client.readyz()["status"] != "draining"

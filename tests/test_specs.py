@@ -7,7 +7,7 @@ Three families of guarantees:
 * **Hash stability** -- semantically equal specs produce identical
   cache keys regardless of dict key order, defaulted-vs-explicit
   parameter spelling, preset-name-vs-expanded form, or cosmetic names;
-* **Registries** -- presets build exactly what the legacy
+* **Registries** -- presets build the pinned stacks the retired
   ``build_policy`` built, unknown kinds/params fail with messages that
   list the valid choices, and out-of-tree components plug in.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +30,13 @@ from repro.api import (
     POLICY_NAMES,
     PRESETS,
     SPECS,
+    CriticalFirstScheduler,
     CriticalitySteering,
+    CriticalitySteeringConfig,
+    DependenceSteering,
     ExperimentSpec,
+    LocScheduler,
+    OldestFirstScheduler,
     MachineSpec,
     PolicySpec,
     PredictorSpec,
@@ -43,7 +47,6 @@ from repro.api import (
     SweepSpec,
     Workbench,
     WorkloadSpec,
-    build_policy,
     canonical_policy,
     clustered_machine,
     get_kernel,
@@ -57,6 +60,8 @@ from repro.api import (
     spec_hash,
     suite_names,
 )
+from repro.core.steering.affinity import AffinitySteering
+from repro.core.steering.readiness import ReadinessAwareSteering
 from repro.experiments import PLANS
 from repro.specs.registry import PREDICTORS, SCHEDULERS, STEERING
 
@@ -241,8 +246,28 @@ class TestHashStability:
 
 
 # ---------------------------------------------------------------------------
-# Presets and the legacy build_policy contract
+# Presets and the stacks the retired build_policy built
 # ---------------------------------------------------------------------------
+
+# preset -> (steering type, scheduler type, needs predictors, the
+# CriticalitySteeringConfig fields that differ from the defaults).  The
+# literal table the removed ``build_policy(name)`` produced, so a change
+# to a preset shows up here and not only as a shifted figure.
+_LOC_STALL = {"preference": "loc", "stall_over_steer": True}
+PRESET_STACKS = {
+    "affinity": (AffinitySteering, OldestFirstScheduler, False, None),
+    "dependence": (DependenceSteering, OldestFirstScheduler, False, None),
+    "focused": (CriticalitySteering, CriticalFirstScheduler, True, {}),
+    "l": (CriticalitySteering, LocScheduler, True, {"preference": "loc"}),
+    "s": (CriticalitySteering, LocScheduler, True, _LOC_STALL),
+    "p": (CriticalitySteering, LocScheduler, True, {**_LOC_STALL, "proactive": True}),
+    "readiness": (
+        ReadinessAwareSteering,
+        LocScheduler,
+        True,
+        {**_LOC_STALL, "proactive": True},
+    ),
+}
 
 
 class TestPresets:
@@ -252,15 +277,13 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_builds_what_build_policy_built(self, name):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old_steering, old_scheduler, old_needs = build_policy(name)
-        new_steering, new_scheduler, new_needs = resolve_policy(name).build()
-        assert type(new_steering) is type(old_steering)
-        assert type(new_scheduler) is type(old_scheduler)
-        assert new_needs == old_needs
-        if isinstance(new_steering, CriticalitySteering):
-            assert new_steering.config == old_steering.config
+        steering_type, scheduler_type, needs, config = PRESET_STACKS[name]
+        steering, scheduler, built_needs = resolve_policy(name).build()
+        assert type(steering) is steering_type
+        assert type(scheduler) is scheduler_type
+        assert built_needs == needs
+        if config is not None:
+            assert steering.config == CriticalitySteeringConfig(**config)
 
     def test_canonical_policy_collapses_preset_equal_specs(self):
         spec = resolve_policy(
@@ -412,7 +435,8 @@ class TestMachineGeometry:
         # config inverts through the per-cluster spelling.
         config = clustered_machine(4)
         odd = dataclasses.replace(
-            config, cluster=dataclasses.replace(config.cluster, int_ports=7)
+            config,
+            clusters=(dataclasses.replace(config.cluster, int_ports=7),) * 4,
         )
         spec = MachineSpec.from_config(odd)
         assert not isinstance(spec.clusters, int)

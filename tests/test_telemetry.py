@@ -326,7 +326,7 @@ class TestRunReport:
 
 
 # ---------------------------------------------------------------------------
-# Facade and deprecation
+# Facade
 # ---------------------------------------------------------------------------
 
 
@@ -345,17 +345,6 @@ class TestFacade:
         assert set(api.list_figures()) == set(api.EXPERIMENTS)
         with pytest.raises(ValueError):
             api.figure("not_a_figure")
-
-    def test_deep_import_warns(self):
-        import repro.experiments as experiments
-
-        experiments.__dict__.pop("Workbench", None)  # re-arm the one-shot warn
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            experiments.Workbench  # noqa: B018
-        # Resolved value is the real class, cached for later accesses.
-        from repro.experiments.harness import Workbench
-
-        assert experiments.Workbench is Workbench
 
     def test_unknown_attribute_still_raises(self):
         import repro.experiments as experiments
